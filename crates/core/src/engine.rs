@@ -18,9 +18,15 @@
 //!    backends replay them one at a time in node order (fixing
 //!    adjacency-list insertion order, which makes sequential and parallel
 //!    execution **bit-identical** for all future sampling); the
-//!    arena-backed graph merges the whole round in a single sort + dedup
-//!    pass against its sorted rows, which are canonical and therefore
+//!    arena-backed graph buckets the round's half-edges by destination row
+//!    with one counting sort and merges them in one ascending sweep that
+//!    writes every row once. Its sorted rows are canonical and therefore
 //!    bit-identical under any schedule by construction.
+//!
+//! With a listener attached (`RoundEngine::step_listened`), the engine
+//! times its phases and reports each as a [`PhaseEvent`]: `Membership` on
+//! rounds where a plan event fired, then `Propose` and `Apply`. Plain
+//! [`Engine::step`] reads no clock.
 //!
 //! Compared to the previous design (an `n`-slot `Vec<ProposalSet>` indexed
 //! by node), the flat pipeline stores only proposals that exist (most
@@ -29,10 +35,12 @@
 //! and gives batch-capable graphs the whole round at once.
 
 use crate::convergence::ConvergenceCheck;
+use crate::listener::{PhaseEvent, RoundListener, RoundPhase};
 use crate::membership::{MembershipPlan, MembershipStats};
 use crate::process::{GossipGraph, ProposalRule, RoundStats, TaggedProposal};
 use crate::rng::stream_rng;
 use rayon::prelude::*;
+use std::time::Instant;
 
 /// Nodes per propose-phase chunk. Fixed (never derived from the thread
 /// count) so the chunk decomposition — and with it every buffer boundary —
@@ -258,22 +266,54 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
     /// One round, invoking `on_edge(round, introducer, a, b)` for every edge
     /// that is actually new. The no-op instantiation compiles down to
     /// [`Engine::step`]; the provenance API in [`crate::trace`] builds on it.
-    pub(crate) fn step_attributed<F>(&mut self, mut on_edge: F) -> RoundStats
+    pub(crate) fn step_attributed<F>(&mut self, on_edge: F) -> RoundStats
     where
         F: FnMut(u64, gossip_graph::NodeId, gossip_graph::NodeId, gossip_graph::NodeId),
     {
+        self.step_inner(on_edge, None)
+    }
+
+    /// The round itself. With a `listener`, each phase is timed and
+    /// reported as a [`PhaseEvent`] as soon as it completes: `Membership`
+    /// (only on rounds where a plan event fired), `Propose`, then `Apply`.
+    /// Without one, no clock is read. Timing never touches the trajectory.
+    fn step_inner<F>(
+        &mut self,
+        mut on_edge: F,
+        mut listener: Option<&mut dyn RoundListener<G>>,
+    ) -> RoundStats
+    where
+        F: FnMut(u64, gossip_graph::NodeId, gossip_graph::NodeId, gossip_graph::NodeId),
+    {
+        let round_now = self.round + 1;
+        let timed = listener.is_some();
+        let clock = || timed.then(Instant::now);
+        let mut emit = |phase: RoundPhase, since: Option<Instant>| {
+            if let (Some(l), Some(t)) = (listener.as_deref_mut(), since) {
+                l.on_phase(&PhaseEvent {
+                    round: round_now,
+                    phase,
+                    nanos: t.elapsed().as_nanos() as u64,
+                });
+            }
+        };
+
         // Phase 0 (membership): apply due join/leave events to the graph
         // before anything observes it this round. Both synchronous engines
         // key this on the same pre-increment counter, so runs under the
         // same plan stay bit-identical across engine variants.
         if let Some(plan) = self.membership.as_mut() {
-            plan.apply_due(self.round, &mut self.graph);
+            let t = clock();
+            if plan.apply_due(self.round, &mut self.graph) != MembershipStats::default() {
+                emit(RoundPhase::Membership, t);
+            }
         }
 
         // Phase 1: propose against the immutable G_t, each chunk filling
         // its own flat buffer (the shared phase in [`propose_round`]). The
         // per-node work is identical either way; only the scheduling of
         // whole chunks differs.
+        let t = clock();
         let parallel = self.use_parallel();
         propose_round(
             &self.graph,
@@ -283,12 +323,16 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
             &mut self.chunk_bufs,
             parallel,
         );
+        emit(RoundPhase::Propose, t);
 
         // Phase 2: hand the whole round to the graph as one batch.
-        self.round += 1;
-        let round_now = self.round;
-        self.graph
-            .apply_proposals(&self.chunk_bufs, &mut |u, a, b| on_edge(round_now, u, a, b))
+        self.round = round_now;
+        let t = clock();
+        let stats = self
+            .graph
+            .apply_proposals(&self.chunk_bufs, &mut |u, a, b| on_edge(round_now, u, a, b));
+        emit(RoundPhase::Apply, t);
+        stats
     }
 
     /// Runs until `check` fires or `max_rounds` is reached. (The loop
@@ -318,6 +362,9 @@ impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for Engine<G, 
     #[inline]
     fn step_quantum(&mut self) -> RoundStats {
         self.step()
+    }
+    fn step_listened(&mut self, listener: &mut dyn RoundListener<G>) -> RoundStats {
+        self.step_inner(|_, _, _, _| {}, Some(listener))
     }
 }
 
@@ -435,6 +482,82 @@ mod tests {
             }
         }
         assert!(diverged || !e1.graph().same_edges(e2.graph()));
+    }
+
+    #[test]
+    fn listened_steps_match_plain_steps_and_emit_three_phases() {
+        use crate::listener::{PhaseEvent, RoundControl, RoundEvent, RoundListener, RoundPhase};
+        use crate::membership::{MembershipEvent, MembershipPlan};
+        use crate::seam::run_engine_listened;
+        use gossip_graph::{ArenaGraph, NodeId};
+
+        #[derive(Default)]
+        struct Log {
+            phases: Vec<(u64, RoundPhase)>,
+            stats: Vec<RoundStats>,
+        }
+        impl<G: GossipGraph> RoundListener<G> for Log {
+            fn on_round(&mut self, ev: &RoundEvent<'_, G>) -> RoundControl {
+                self.stats.push(ev.stats);
+                RoundControl::Continue
+            }
+            fn on_phase(&mut self, ev: &PhaseEvent) {
+                self.phases.push((ev.round, ev.phase));
+            }
+        }
+
+        // A membership event fires at every round, so every round runs
+        // all three phases.
+        let rounds = 12u64;
+        let mut events = Vec::new();
+        for r in 0..rounds {
+            events.push((
+                r,
+                MembershipEvent::Leave {
+                    node: NodeId(100 + r as u32),
+                },
+            ));
+            if r > 0 {
+                let contacts = vec![NodeId(0), NodeId(7)];
+                let node = NodeId(100 + r as u32 - 1);
+                events.push((r, MembershipEvent::Join { node, contacts }));
+            }
+        }
+        let plan = MembershipPlan::new(events);
+        let g = ArenaGraph::from_undirected(&generators::tree_plus_random_edges(
+            3000,
+            6000,
+            &mut crate::rng::stream_rng(4, 0, 0),
+        ));
+        let mut plain = Engine::new(g.clone(), Pull, 31).with_membership(plan.clone());
+        let mut listened = Engine::new(g, Pull, 31).with_membership(plan);
+        let want: Vec<RoundStats> = (0..rounds).map(|_| plain.step()).collect();
+        let mut log = Log::default();
+        let out = run_engine_listened(&mut listened, &mut log, rounds);
+        assert_eq!(out.rounds, rounds);
+        assert_eq!(log.stats, want);
+        assert_eq!(listened.membership_stats(), plain.membership_stats());
+        for u in plain.graph().nodes() {
+            assert_eq!(plain.graph().neighbors(u), listened.graph().neighbors(u));
+        }
+        let expected: Vec<(u64, RoundPhase)> = (1..=rounds)
+            .flat_map(|r| {
+                [
+                    RoundPhase::Membership,
+                    RoundPhase::Propose,
+                    RoundPhase::Apply,
+                ]
+                .map(|p| (r, p))
+            })
+            .collect();
+        assert_eq!(log.phases, expected);
+
+        // Without a plan the membership phase is never reported.
+        let mut bare = Engine::new(generators::cycle(40), Push, 2);
+        let mut log = Log::default();
+        run_engine_listened(&mut bare, &mut log, 3);
+        let phases: Vec<RoundPhase> = log.phases.iter().map(|&(_, p)| p).collect();
+        assert_eq!(phases, [RoundPhase::Propose, RoundPhase::Apply].repeat(3));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   makes convergence checking *a listener* rather than a parallel
 //!   mechanism.
 //! * [`PhaseEvent`] — fired by engines that decompose a round into timed
-//!   phases (today the sharded engine's propose/route/apply), carrying the
-//!   phase's wall-clock nanoseconds. Wall-clock only: these feed throughput
+//!   phases (the sequential engine's membership/propose/apply, plus route
+//!   and the wire phases on the sharded and transport engines), carrying
+//!   the phase's wall-clock nanoseconds. Wall-clock only: these feed throughput
 //!   tables and live-service metrics, never reproducible measurement rows.
 //!
 //! [`ConvergenceCheck`] survives as the *predicate vocabulary* and rides
@@ -23,16 +24,18 @@
 //! compose with [`Chain`] (two, statically) or [`ListenerSet`] (N, boxed —
 //! the plugin fan-out `gossip-serve` drives).
 //!
-//! The no-listener path costs nothing: `run_until` wraps the check in a
-//! zero-size adapter and the default
+//! The no-listener path costs next to nothing: `run_until` wraps the check
+//! in a zero-size adapter, the default
 //! [`RoundEngine::step_listened`](crate::seam::RoundEngine::step_listened)
-//! forwards straight to `step_quantum` — guarded by the `round_listened`
+//! forwards straight to `step_quantum`, and engines that time their phases
+//! read the clock a few times per round — guarded by the `round_listened`
 //! rows in `gossip-bench`'s `round_throughput` ratchet.
 
 use crate::convergence::ConvergenceCheck;
 use crate::process::{GossipGraph, RoundStats};
 
-/// The phases a round decomposes into (the sharded engine's pipeline;
+/// The phases a round decomposes into (the sharded engine's pipeline; the
+/// sequential engine emits the membership, propose and apply subset, and
 /// engines without a phase breakdown simply never emit [`PhaseEvent`]s).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RoundPhase {
@@ -290,7 +293,9 @@ pub struct PhaseNanos {
     /// Frame receive + reassembly + barrier waits (zero for in-process
     /// engines).
     pub drain: u64,
-    /// Shard-parallel apply (sort + dedup + merge per segment).
+    /// Apply: merging the round into the graph (row-bucketed sweep on the
+    /// sequential engine; sort + dedup + merge per segment on the sharded
+    /// engines).
     pub apply: u64,
 }
 

@@ -98,7 +98,7 @@ pub trait GossipGraph: Clone + Send + Sync {
     /// classic apply loop, so adjacency *insertion order* (the sampling
     /// surface of insertion-ordered backends like [`UndirectedGraph`]) is
     /// byte-for-byte what it always was. Backends with a canonical layout
-    /// ([`ArenaGraph`]) override this with a batch sort + dedup merge.
+    /// ([`ArenaGraph`]) override this with a row-bucketed batch merge.
     fn apply_proposals(
         &mut self,
         bufs: &[Vec<TaggedProposal>],
@@ -186,28 +186,20 @@ impl GossipGraph for ArenaGraph {
         self.m()
     }
 
-    /// Whole-round batch apply: flatten the chunk buffers, then merge the
-    /// round's candidates in one sort + dedup pass
-    /// ([`ArenaGraph::apply_batch`]) instead of `O(n)` individual
-    /// binary-search inserts that interleave badly with the sorted rows.
-    /// Attribution (first proposer in node order wins) matches the default
-    /// path exactly.
+    /// Whole-round batch apply straight from the chunk buffers
+    /// ([`ArenaGraph::apply_chunks`]): the round's half-edges are bucketed
+    /// by destination row with one counting sort and merged in one
+    /// ascending sweep, each row written once, instead of `O(n)`
+    /// individual binary-search inserts into random rows. Attribution
+    /// (first proposer in node order wins, reported in proposal order)
+    /// matches the default path exactly.
     fn apply_proposals(
         &mut self,
         bufs: &[Vec<TaggedProposal>],
         on_new: &mut dyn FnMut(NodeId, NodeId, NodeId),
     ) -> RoundStats {
-        let mut flat: Vec<(NodeId, NodeId)> = Vec::with_capacity(bufs.iter().map(Vec::len).sum());
-        let mut proposers: Vec<NodeId> = Vec::with_capacity(flat.capacity());
-        for buf in bufs {
-            for &(u, a, b) in buf {
-                flat.push((a, b));
-                proposers.push(u);
-            }
-        }
-        let (proposed, added) = self.apply_batch(&flat, |slot, a, b| {
-            on_new(proposers[slot], a, b);
-        });
+        let (proposed, added) =
+            self.apply_chunks(bufs, |&(_, a, b)| (a, b), |_, &(u, a, b)| on_new(u, a, b));
         RoundStats { proposed, added }
     }
 

@@ -40,7 +40,7 @@ pub trait RoundEngine {
     /// [`PhaseEvent`](crate::listener::PhaseEvent)s the engine's step
     /// decomposes into to `listener`. The default forwards to
     /// [`RoundEngine::step_quantum`] with no events — engines without a
-    /// phase breakdown (sequential, async) pay nothing for the seam.
+    /// phase breakdown (async) pay nothing for the seam.
     fn step_listened(&mut self, listener: &mut dyn RoundListener<Self::Graph>) -> RoundStats {
         let _ = listener;
         self.step_quantum()

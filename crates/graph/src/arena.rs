@@ -14,8 +14,10 @@
 //!   epoch pass** — no per-node reallocation ever happens.
 //! * [`ArenaGraph`] — an undirected graph whose neighbor lists are *sorted*
 //!   `SliceArena` slices: membership is a binary search, uniform sampling is
-//!   one index into a contiguous slice, and a whole round's proposals merge
-//!   in a single sort + dedup pass ([`ArenaGraph::apply_batch`]).
+//!   one index into a contiguous slice, and a whole round's proposals are
+//!   bucketed by destination row with one counting sort, then merged in one
+//!   ascending sweep that touches every row once
+//!   ([`ArenaGraph::apply_batch`]).
 //!
 //! Memory is `O(m + n)` — `4` bytes per stored half-edge plus fixed per-node
 //! bookkeeping — restoring the paper's large-`n` regime: the same machine
@@ -43,6 +45,7 @@
 //! suite with churn events straddling forced compactions, and by the
 //! sharded-vs-sequential churn proptests in `gossip-shard`.
 
+use crate::bitset::BitSet;
 use crate::node::{Edge, NodeId};
 use crate::undirected::UndirectedGraph;
 use rand::Rng;
@@ -146,6 +149,9 @@ pub struct SliceArena {
     /// Sum of `len` — maintained incrementally so [`SliceArena::total_len`]
     /// is O(1); snapshot stat reads must never pay an O(n) scan.
     live: usize,
+    /// Epoch compactions run so far (not part of the logical state: a
+    /// restored arena starts from zero).
+    compactions: u64,
 }
 
 impl SliceArena {
@@ -158,6 +164,7 @@ impl SliceArena {
             cap: vec![0; n],
             reserved: 0,
             live: 0,
+            compactions: 0,
         }
     }
 
@@ -191,6 +198,13 @@ impl SliceArena {
     #[inline]
     pub fn total_len(&self) -> usize {
         self.live
+    }
+
+    /// Epoch compactions this arena has run (since construction or
+    /// [`SliceArena::restore`]).
+    #[inline]
+    pub fn compactions(&self) -> u64 {
+        self.compactions
     }
 
     /// Bytes held in the backing buffers (lengths, not allocator capacity,
@@ -230,6 +244,59 @@ impl SliceArena {
         self.len[u] += 1;
         self.live += 1;
         true
+    }
+
+    /// Merges `items` into the sorted list `u` in one call. `items` must be
+    /// strictly ascending and absent from the list. The list grows at most
+    /// once, to fit all of `items`, and the epoch compaction check runs only
+    /// after the merge has written — so a compaction can never shrink the
+    /// row below the entries just placed. The merge walks `items` from the
+    /// largest down, finds each one's position by binary search in the
+    /// not-yet-moved prefix, and shifts the block behind it in one
+    /// `copy_within`.
+    pub fn merge_sorted(&mut self, u: usize, items: &[NodeId]) {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "items unsorted");
+        let k = items.len();
+        let l = self.len[u] as usize;
+        let grown = l + k > self.cap[u] as usize;
+        if grown {
+            self.grow(u, l + k);
+        }
+        let s = self.start[u];
+        // Row entries `[..hi]` have not moved yet; `items[..=j]` are still
+        // to place, so everything in `[pos..hi]` shifts right by `j + 1`.
+        let mut hi = l;
+        for (j, &v) in items.iter().enumerate().rev() {
+            let pos = self.data[s..s + hi].partition_point(|&x| x < v);
+            debug_assert!(
+                pos == hi || self.data[s + pos] != v,
+                "{v:?} already in row {u}"
+            );
+            self.data.copy_within(s + pos..s + hi, s + pos + j + 1);
+            self.data[s + pos + j] = v;
+            hi = pos;
+        }
+        self.len[u] += k as u32;
+        self.live += k;
+        if grown {
+            self.maybe_compact();
+        }
+    }
+
+    /// Hints the CPU to start loading the head of list `u` (a no-op where
+    /// no prefetch instruction is available, and for `u` out of range).
+    #[inline]
+    pub(crate) fn prefetch(&self, u: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(&s) = self.start.get(u) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch is only a hint and never faults, whatever
+            // the address; `wrapping_add` keeps the pointer arithmetic
+            // defined even for a start past the slab's end.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(self.data.as_ptr().wrapping_add(s).cast()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = u;
     }
 
     /// Whether sorted list `u` contains `v` (binary search).
@@ -342,6 +409,7 @@ impl SliceArena {
             cap: snap.len_cap.iter().map(|&(_, c)| c).collect(),
             reserved,
             live: total_len,
+            compactions: 0,
         })
     }
 
@@ -352,8 +420,18 @@ impl SliceArena {
     /// factors are the whole game at n = 2^20.)
     #[cold]
     fn relocate(&mut self, u: usize) {
+        self.grow(u, self.cap[u] as usize + 1);
+        self.maybe_compact();
+    }
+
+    /// Moves list `u` to the end of the slab with room for at least `need`
+    /// entries (~1.5× growth otherwise). No compaction check: the caller
+    /// runs it, and [`SliceArena::merge_sorted`] runs it only after its
+    /// write.
+    #[cold]
+    fn grow(&mut self, u: usize, need: usize) {
         let cap = self.cap[u] as usize;
-        let new_cap = (cap + cap / 2).max(cap + 1).max(4);
+        let new_cap = (cap + cap / 2).max(need).max(4);
         let s = self.start[u];
         let l = self.len[u] as usize;
         let new_start = self.data.len();
@@ -363,7 +441,6 @@ impl SliceArena {
         self.reserved += new_cap - cap;
         self.start[u] = new_start;
         self.cap[u] = new_cap as u32;
-        self.maybe_compact();
     }
 
     /// Epoch compaction: once abandoned regions exceed half the reserved
@@ -393,6 +470,7 @@ impl SliceArena {
         }
         self.reserved = packed.len();
         self.data = packed;
+        self.compactions += 1;
     }
 }
 
@@ -401,10 +479,10 @@ impl SliceArena {
 /// Drop-in counterpart of [`UndirectedGraph`] for the discovery engine's
 /// hot path at large `n`: `O(m + n)` memory, O(log deg) edge membership,
 /// O(1) uniform neighbor sampling, and a batch edge-application entry point
-/// ([`ArenaGraph::apply_batch`]) that merges a whole round of proposals in
-/// one sort + dedup pass. Neighbor lists are kept in ascending id order —
-/// a canonical layout, so the final graph is independent of the order in
-/// which a round's edges are applied.
+/// ([`ArenaGraph::apply_batch`]) that buckets a whole round of proposals by
+/// destination row and merges each row once. Neighbor lists are kept in
+/// ascending id order — a canonical layout, so the final graph is
+/// independent of the order in which a round's edges are applied.
 ///
 /// ```
 /// use gossip_graph::{ArenaGraph, NodeId};
@@ -419,6 +497,35 @@ impl SliceArena {
 pub struct ArenaGraph {
     adj: SliceArena,
     m: u64,
+    scratch: ApplyScratch,
+}
+
+/// Buffers of [`ArenaGraph::apply_chunks`], reused across rounds so
+/// steady-state rounds allocate nothing. They hold no graph state: a clone
+/// starts empty.
+#[derive(Default)]
+struct ApplyScratch {
+    /// Per row: the start of its bucket after counting, its end after the
+    /// scatter.
+    ends: Vec<u32>,
+    /// Half-edges grouped by destination row, each `(contact << 32) | slot`.
+    halves: Vec<u64>,
+    /// The contacts of one row that survive dedup and the membership test.
+    fresh: Vec<NodeId>,
+    /// Winning slot of every new edge.
+    won: BitSet,
+}
+
+impl Clone for ApplyScratch {
+    fn clone(&self) -> Self {
+        ApplyScratch::default()
+    }
+}
+
+impl std::fmt::Debug for ApplyScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ApplyScratch").finish_non_exhaustive()
+    }
 }
 
 impl ArenaGraph {
@@ -427,6 +534,7 @@ impl ArenaGraph {
         ArenaGraph {
             adj: SliceArena::new(n),
             m: 0,
+            scratch: ApplyScratch::default(),
         }
     }
 
@@ -510,50 +618,149 @@ impl ArenaGraph {
         }
     }
 
-    /// Applies one round's proposals in a single **sort + dedup** pass.
+    /// Applies one round's proposals as one batch.
     ///
     /// `proposed` is the flat concatenation of every node's proposals for
-    /// the round, in proposal order. The pass canonicalizes each candidate
-    /// to `(min, max)`, sorts by `(edge, arrival)`, keeps the *first*
-    /// proposer of each distinct edge (the same winner the one-at-a-time
-    /// path picks), filters edges already present, and merges the
-    /// survivors. `on_new(slot, a, b)` fires once per genuinely new edge in
-    /// original proposal order, where `slot` is the index into `proposed` —
-    /// callers needing attribution map it back to the proposer. Returns
-    /// `(proposed_count, added_count)`.
+    /// the round, in proposal order. The result equals applying them one
+    /// [`ArenaGraph::add_edge`] at a time: self-loops are no-ops, and the
+    /// *first* proposer of each distinct new edge wins. `on_new(slot, a, b)`
+    /// fires once per genuinely new edge in original proposal order, where
+    /// `slot` is the index into `proposed` — callers needing attribution
+    /// map it back to the proposer. Returns `(proposed_count, added_count)`.
+    /// See [`ArenaGraph::apply_chunks`] for how the batch is merged.
     pub fn apply_batch(
         &mut self,
         proposed: &[(NodeId, NodeId)],
         mut on_new: impl FnMut(usize, NodeId, NodeId),
     ) -> (u64, u64) {
-        // (canonical edge key, arrival slot); self-loops never canonicalize.
-        let mut cand: Vec<(u64, u32)> = proposed
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(a, b))| a != b)
-            .map(|(slot, &(a, b))| {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                (((lo.0 as u64) << 32) | hi.0 as u64, slot as u32)
-            })
-            .collect();
-        cand.sort_unstable();
-        cand.dedup_by_key(|&mut (edge, _)| edge);
-        // Drop edges the round-start graph already has, then re-establish
-        // proposal order so attribution matches the sequential path.
-        cand.retain(|&(edge, _)| {
-            let (a, b) = (NodeId((edge >> 32) as u32), NodeId(edge as u32));
-            !self.has_edge(a, b)
-        });
-        cand.sort_unstable_by_key(|&(_, slot)| slot);
-        let added = cand.len() as u64;
-        for &(edge, slot) in &cand {
-            let (a, b) = (NodeId((edge >> 32) as u32), NodeId(edge as u32));
-            let new = self.add_edge(a, b);
-            debug_assert!(new, "batch survivor already present");
-            let &(pa, pb) = &proposed[slot as usize];
-            on_new(slot as usize, pa, pb);
+        self.apply_chunks(&[proposed], |&e| e, |slot, &(a, b)| on_new(slot, a, b))
+    }
+
+    /// [`ArenaGraph::apply_batch`] over a round held in chunks: the
+    /// proposal stream is `chunks` concatenated in order, `edge` reads the
+    /// proposed edge out of an item, and `on_new(slot, item)` fires for the
+    /// winning item of each new edge, in stream order.
+    ///
+    /// The merge runs in three steps:
+    /// 1. A stable counting sort places both half-edges of every proposal
+    ///    (row `a` gains `b`, row `b` gains `a`) into its destination
+    ///    row's bucket, in arrival order.
+    /// 2. One ascending sweep over the rows. Each row sorts its small
+    ///    bucket by contact (the earliest slot wins a tie), drops contacts
+    ///    the row already holds by binary search, and merges the survivors
+    ///    with one [`SliceArena::merge_sorted`] call. Every row is written
+    ///    once, and each row tests membership against its own round-start
+    ///    contents, so both halves of an edge agree on whether it is new.
+    /// 3. The canonical half (row < contact) of each new edge marks its
+    ///    winning slot in a bitset; walking the set bits in order fires
+    ///    `on_new` in proposal order.
+    pub fn apply_chunks<T, C: AsRef<[T]>>(
+        &mut self,
+        chunks: &[C],
+        edge: impl Fn(&T) -> (NodeId, NodeId),
+        mut on_new: impl FnMut(usize, &T),
+    ) -> (u64, u64) {
+        let ApplyScratch {
+            ends,
+            halves,
+            fresh,
+            won,
+        } = &mut self.scratch;
+        let items = || chunks.iter().flat_map(|c| c.as_ref());
+
+        // 1. Counting sort of the half-edges by destination row.
+        ends.clear();
+        ends.resize(self.adj.lists(), 0);
+        let mut slots = 0usize;
+        for t in items() {
+            let (a, b) = edge(t);
+            if a != b {
+                ends[a.index()] += 1;
+                ends[b.index()] += 1;
+            }
+            slots += 1;
         }
-        (proposed.len() as u64, added)
+        assert!(
+            2 * slots <= u32::MAX as usize,
+            "{slots} proposals overflow the round's u32 half-edge index"
+        );
+        let mut total = 0u32;
+        for e in ends.iter_mut() {
+            (*e, total) = (total, total + *e);
+        }
+        // The scatter overwrites every entry below `total`, so the buffer
+        // only ever grows: no per-round zero fill.
+        if halves.len() < total as usize {
+            halves.resize(total as usize, 0);
+        }
+        for (slot, t) in items().enumerate() {
+            let (a, b) = edge(t);
+            if a != b {
+                for (row, contact) in [(a, b), (b, a)] {
+                    let at = &mut ends[row.index()];
+                    halves[*at as usize] = (contact.0 as u64) << 32 | slot as u64;
+                    *at += 1;
+                }
+            }
+        }
+
+        // 2. One sweep: dedup, drop present contacts, merge once per row.
+        // Rows sit in the slab mostly in id order but far past the caches
+        // at large n, so the sweep asks for a row's head a few rows early.
+        const PREFETCH_AHEAD: usize = 16;
+        won.clear();
+        won.grow(slots);
+        let mut added = 0u64;
+        let mut lo = 0usize;
+        for (u, &end) in ends.iter().enumerate() {
+            let bucket = &mut halves[lo..end as usize];
+            lo = end as usize;
+            self.adj.prefetch(u + PREFETCH_AHEAD);
+            if bucket.is_empty() {
+                continue;
+            }
+            if bucket.len() > 1 {
+                bucket.sort_unstable();
+            }
+            fresh.clear();
+            let row = self.adj.slice(u);
+            let mut from = 0usize;
+            let mut last = None;
+            for &h in bucket.iter() {
+                let contact = NodeId((h >> 32) as u32);
+                if last == Some(contact) {
+                    continue;
+                }
+                last = Some(contact);
+                match row[from..].binary_search(&contact) {
+                    Ok(i) => from += i + 1,
+                    Err(i) => {
+                        from += i;
+                        fresh.push(contact);
+                        if (u as u32) < contact.0 {
+                            won.insert(h as u32 as usize);
+                            added += 1;
+                        }
+                    }
+                }
+            }
+            if !fresh.is_empty() {
+                self.adj.merge_sorted(u, fresh);
+            }
+        }
+        self.m += added;
+
+        // 3. Attribution in proposal order.
+        let mut chunk = chunks.iter().map(AsRef::as_ref);
+        let (mut base, mut cur): (usize, &[T]) = (0, &[]);
+        for slot in won.iter() {
+            while slot >= base + cur.len() {
+                base += cur.len();
+                cur = chunk.next().expect("winning slot past the last chunk");
+            }
+            on_new(slot, &cur[slot - base]);
+        }
+        (slots as u64, added)
     }
 
     /// Removes member `u` from the edge set: every incident edge is
@@ -597,6 +804,13 @@ impl ArenaGraph {
                 .filter(move |&v| u < v)
                 .map(move |v| Edge::new(u, v))
         })
+    }
+
+    /// Epoch compactions the adjacency arena has run
+    /// ([`SliceArena::compactions`]).
+    #[inline]
+    pub fn compactions(&self) -> u64 {
+        self.adj.compactions()
     }
 
     /// Bytes held by the adjacency storage (deterministic, length-based —
@@ -760,6 +974,123 @@ mod tests {
         }
         assert_eq!(g.m(), model.len() as u64);
         g.validate().unwrap();
+    }
+
+    /// Every row fits its reserve and the cached counters equal a recount.
+    fn assert_bookkeeping(a: &SliceArena) {
+        for u in 0..a.lists() {
+            assert!(
+                a.len[u] <= a.cap[u],
+                "row {u}: len {} > cap {}",
+                a.len[u],
+                a.cap[u]
+            );
+        }
+        let live: usize = (0..a.lists()).map(|u| a.len(u)).sum();
+        let reserved: usize = a.cap.iter().map(|&c| c as usize).sum();
+        assert_eq!(a.live, live, "live counter");
+        assert_eq!(a.reserved, reserved, "reserved counter");
+    }
+
+    #[test]
+    fn merge_sorted_into_empty_row() {
+        let mut a = SliceArena::new(3);
+        a.merge_sorted(1, &[NodeId(2), NodeId(5), NodeId(9)]);
+        assert_eq!(a.slice(1), &[NodeId(2), NodeId(5), NodeId(9)]);
+        assert!(a.is_empty(0) && a.is_empty(2));
+        // An empty batch is a no-op, also on a row with no reserve.
+        a.merge_sorted(0, &[]);
+        assert!(a.is_empty(0));
+        assert_eq!(a.cap[0], 0, "an empty merge must not reserve");
+        assert_bookkeeping(&a);
+    }
+
+    #[test]
+    fn merge_sorted_interleaves_with_existing_entries() {
+        let mut a = SliceArena::new(1);
+        for v in [10, 20, 30] {
+            a.insert_sorted(0, NodeId(v));
+        }
+        // Items before, between and after the row's entries, in one call.
+        a.merge_sorted(0, &[NodeId(5), NodeId(15), NodeId(16), NodeId(35)]);
+        let got: Vec<u32> = a.slice(0).iter().map(|x| x.0).collect();
+        assert_eq!(got, [5, 10, 15, 16, 20, 30, 35]);
+        assert_bookkeeping(&a);
+    }
+
+    #[test]
+    fn merge_sorted_grows_at_most_once() {
+        let mut a = SliceArena::new(2);
+        a.insert_sorted(0, NodeId(1));
+        let slab = a.data.len();
+        let items: Vec<NodeId> = (2..40).map(NodeId).collect();
+        a.merge_sorted(0, &items);
+        assert_eq!(a.len(0), 39);
+        assert!(a.cap[0] >= 39);
+        // One relocation: the slab grew by exactly the new reserve.
+        assert_eq!(a.data.len(), slab + a.cap[0] as usize);
+        assert_bookkeeping(&a);
+    }
+
+    #[test]
+    fn merge_sorted_into_tombstoned_row() {
+        let mut a = SliceArena::new(4);
+        for u in 0..4 {
+            for v in 0..6 {
+                a.insert_sorted(u, NodeId(10 * u as u32 + v));
+            }
+        }
+        assert_eq!(a.clear(2), 6);
+        assert_eq!(a.cap[2], 0, "fresh tombstone has no reserve");
+        a.merge_sorted(2, &[NodeId(3), NodeId(7)]);
+        assert_eq!(a.slice(2), &[NodeId(3), NodeId(7)]);
+        assert!(a.cap[2] >= 2);
+        for u in [0, 1, 3] {
+            let want: Vec<NodeId> = (0..6).map(|v| NodeId(10 * u as u32 + v)).collect();
+            assert_eq!(a.slice(u), &want[..], "row {u} disturbed");
+        }
+        assert_bookkeeping(&a);
+    }
+
+    #[test]
+    fn merge_sorted_growth_that_compacts_keeps_every_write() {
+        // The pending-slot regression of single inserts, re-pinned for
+        // bulk writes: a merge that must grow its row can push the slab
+        // over the compaction trigger. Compaction runs after the merge has
+        // written, so it can never hand the row `cap < len` or lose an
+        // entry. Grow rows in rounds of multi-entry merges until the slab
+        // has visibly compacted several times, checking rows against a
+        // model and the bookkeeping after every merge.
+        let n = 200;
+        let mut a = SliceArena::new(n);
+        let mut model: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
+        let mut rng = SmallRng::seed_from_u64(77);
+        for _round in 0..12 {
+            for (u, row) in model.iter_mut().enumerate() {
+                let want: BTreeSet<u32> = (0..rng.random_range(1..6usize))
+                    .map(|_| rng.random_range(0..5_000u32))
+                    .filter(|v| !row.contains(v))
+                    .collect();
+                let items: Vec<NodeId> = want.iter().map(|&v| NodeId(v)).collect();
+                a.merge_sorted(u, &items);
+                row.extend(want);
+                assert!(
+                    a.slice(u).iter().map(|x| x.0).eq(row.iter().copied()),
+                    "row {u}"
+                );
+                assert!(a.len[u] <= a.cap[u], "row {u}: cap below len");
+            }
+            assert_bookkeeping(&a);
+        }
+        assert!(
+            a.compactions() >= 2,
+            "only {} compactions ran",
+            a.compactions()
+        );
+        for (u, set) in model.iter().enumerate() {
+            assert!(a.slice(u).iter().map(|x| x.0).eq(set.iter().copied()));
+        }
+        assert!(a.data.len() <= a.reserved + a.reserved / 2 + 1024);
     }
 
     #[test]
@@ -1129,6 +1460,36 @@ mod tests {
         for u in batch_g.nodes() {
             assert_eq!(batch_g.neighbors(u), seq_g.neighbors(u));
         }
+    }
+
+    #[test]
+    fn apply_chunks_equals_apply_batch_over_the_concatenation() {
+        // Chunk boundaries (empty chunks included) must not change the
+        // result or the attribution: slots count across the whole stream.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let n = 30u32;
+        let flat: Vec<(NodeId, NodeId)> = (0..90)
+            .map(|_| {
+                (
+                    NodeId(rng.random_range(0..n)),
+                    NodeId(rng.random_range(0..n)),
+                )
+            })
+            .collect();
+        let chunks: Vec<&[(NodeId, NodeId)]> =
+            vec![&[], &flat[..7], &flat[7..7], &flat[7..50], &flat[50..], &[]];
+        let start = ArenaGraph::from_edges(n as usize, [(0, 1), (2, 3), (4, 5)]);
+        let (mut a, mut b) = (start.clone(), start);
+        let mut wa = Vec::new();
+        let ra = a.apply_batch(&flat, |slot, x, y| wa.push((slot, x, y)));
+        let mut wb = Vec::new();
+        let rb = b.apply_chunks(&chunks, |&e| e, |slot, &(x, y)| wb.push((slot, x, y)));
+        assert_eq!(ra, rb);
+        assert_eq!(wa, wb);
+        for u in a.nodes() {
+            assert_eq!(a.neighbors(u), b.neighbors(u));
+        }
+        b.validate().unwrap();
     }
 
     #[test]

@@ -197,12 +197,13 @@ impl ShardSeg {
     /// here), so summing the return values across shards counts each new
     /// edge exactly once.
     ///
-    /// The merge mirrors [`ArenaGraph::apply_batch`] per row: candidates
-    /// are keyed `(local row, other)`, sorted, deduplicated keeping the
-    /// earliest slot, and the survivors inserted into the sorted rows in
-    /// row order (one cache-friendly ascending pass per row, instead of the
-    /// single-arena path's proposal-order walk over random rows). `scratch`
-    /// is caller-provided so steady-state rounds allocate nothing.
+    /// Candidates are keyed `(local row, other)`, sorted, deduplicated
+    /// keeping the earliest slot, and the survivors inserted into the
+    /// sorted rows in ascending row order, one `insert_sorted` each. (The
+    /// single-arena [`ArenaGraph::apply_batch`] also walks rows in
+    /// ascending order, but buckets by counting sort and merges each row
+    /// with one bulk call.) `scratch` is caller-provided so steady-state
+    /// rounds allocate nothing.
     pub fn apply_half_edges(
         &mut self,
         sources: &[&[HalfEdge]],

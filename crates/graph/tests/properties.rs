@@ -233,7 +233,7 @@ proptest! {
 
     /// Whole-round batch application on the arena equals edge-at-a-time
     /// application on the AdjSet store: same added count per round, same
-    /// final edge set — the flat pipeline's sort + dedup pass changes the
+    /// final edge set — the flat pipeline's row-bucketed merge changes the
     /// mechanics, never the result.
     #[test]
     fn arena_batch_rounds_match_adjset_sequential(
@@ -266,6 +266,88 @@ proptest! {
             want.sort_unstable();
             prop_assert_eq!(arena.neighbors(u), &want[..]);
         }
+    }
+}
+
+/// One round's proposals, mixing every case the batch merge must treat
+/// exactly like one-at-a-time application: fresh pairs, self-loops, edges
+/// already in `g`, and reversed repeats of proposals earlier in the batch.
+fn mixed_batch(
+    g: &gossip_graph::ArenaGraph,
+    rng: &mut SmallRng,
+    len: usize,
+) -> Vec<(NodeId, NodeId)> {
+    let n = g.n() as u32;
+    let mut out: Vec<(NodeId, NodeId)> = Vec::with_capacity(len);
+    while out.len() < len {
+        let a = NodeId(rng.random_range(0..n));
+        let p = match rng.random_range(0..10u32) {
+            0 => (a, a),
+            1 | 2 if !g.neighbors(a).is_empty() => {
+                let row = g.neighbors(a);
+                (a, row[rng.random_range(0..row.len())])
+            }
+            3 | 4 if !out.is_empty() => {
+                let (x, y) = out[rng.random_range(0..out.len())];
+                (y, x)
+            }
+            _ => (a, NodeId(rng.random_range(0..n))),
+        };
+        out.push(p);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The row-bucketed batch merge equals replaying the same proposals
+    /// one `add_edge` at a time: the same `(proposed, added)`, the same
+    /// `on_new` sequence of `(slot, a, b)` (first proposer of each new
+    /// edge, in proposal order), and identical rows. Members leave between
+    /// rounds, so batches also land on tombstoned rows, and the volume is
+    /// large enough that rows relocate and the slab compacts while a
+    /// sweep is running.
+    #[test]
+    fn batch_apply_equals_one_at_a_time_replay(
+        seed in any::<u64>(),
+        n in 150usize..260,
+        rounds in 6usize..10,
+        per_node in 4usize..8,
+    ) {
+        use gossip_graph::ArenaGraph;
+
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xB0C4E7);
+        let mut batch = ArenaGraph::new(n);
+        let mut replay = ArenaGraph::new(n);
+        let mut compacted_mid_sweep = false;
+        for round in 0..rounds {
+            if round > 0 {
+                for _ in 0..rng.random_range(0..4usize) {
+                    let u = NodeId(rng.random_range(0..n as u32));
+                    prop_assert_eq!(batch.remove_member(u), replay.remove_member(u));
+                }
+            }
+            let proposals = mixed_batch(&replay, &mut rng, per_node * n);
+            let mut want = Vec::new();
+            for (slot, &(a, b)) in proposals.iter().enumerate() {
+                if replay.add_edge(a, b) {
+                    want.push((slot, a, b));
+                }
+            }
+            let mut got = Vec::new();
+            let before = batch.compactions();
+            let counts = batch.apply_batch(&proposals, |slot, a, b| got.push((slot, a, b)));
+            compacted_mid_sweep |= batch.compactions() > before;
+            prop_assert_eq!(counts, (proposals.len() as u64, want.len() as u64));
+            prop_assert_eq!(&got, &want, "round {}", round);
+            prop_assert_eq!(batch.m(), replay.m());
+            for u in replay.nodes() {
+                prop_assert_eq!(batch.neighbors(u), replay.neighbors(u), "round {} row {:?}", round, u);
+            }
+        }
+        batch.validate().unwrap();
+        prop_assert!(compacted_mid_sweep, "no batch compacted the slab");
     }
 }
 
